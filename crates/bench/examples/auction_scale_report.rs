@@ -1,9 +1,10 @@
 //! Emits `BENCH_auction_scale.json` — the committed perf-trajectory record of the
-//! population-scale auction core. Re-times the same rounds as `benches/auction_scale.rs`
-//! with plain `Instant` loops (min-of-N, far more stable across CI machines than means) and
-//! writes one JSON document with per-`N` streamed selection times under **both** population
-//! stream contracts (v1 two-stream, v2 fused single-stream), the dense twin where it is
-//! still reasonable to materialise, and the peak resident bid bytes of each streamed round.
+//! population-scale auction core. Times streamed selection rounds (bid generation → shard
+//! scoring → bounded top-K → payments, K = 64) with plain `Instant` loops (min-of-N, far
+//! more stable across CI machines than means) and writes one JSON document with per-`N`
+//! streamed selection times under **both** population stream contracts (v1 two-stream, v2
+//! fused single-stream), the dense twin where it is still reasonable to materialise, and
+//! the peak resident bid bytes of each streamed round.
 //!
 //! ```bash
 //! cargo run --release -p fmore-bench --example auction_scale_report -- BENCH_auction_scale.json

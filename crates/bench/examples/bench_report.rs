@@ -1,17 +1,19 @@
 //! Emits `BENCH_hot_path.json` — the committed perf-trajectory record of the training hot
-//! path. Re-times the same suite as `benches/hot_path.rs` with plain `Instant` loops
-//! (min-of-N, which is far more stable across CI machines than means) and writes one JSON
-//! document with kernel, train-epoch, and round throughput numbers.
+//! path. Times the in-place matmul family against the allocating composition it replaced,
+//! and the arena-backed `train_epoch` against the [`NaiveMlp`] replica of the seed path,
+//! with plain `Instant` loops (min-of-N, which is far more stable across CI machines than
+//! means), and writes one JSON document. The pooled round is timed once, in
+//! `round_throughput_report`.
 //!
 //! ```bash
 //! cargo run --release -p fmore-bench --example bench_report -- BENCH_hot_path.json
 //! ```
 //!
-//! Regenerate (and re-commit) after any change to the matrix kernels, the arena path, or
-//! the round engine, so the repository tracks how each PR moved the hot path.
+//! Regenerate (and re-commit) after any change to the matrix kernels or the arena path, so
+//! the repository tracks how each change moved the hot path.
 
 use fmore_bench::baseline::NaiveMlp;
-use fmore_bench::timing::{min_time_ns as time_ns, schema_string, write_report};
+use fmore_bench::timing::{hardware_threads, min_time_ns as time_ns, schema_string, write_report};
 use fmore_ml::arena::ScratchArena;
 use fmore_ml::dataset::SyntheticImageSpec;
 use fmore_ml::layers::{Activation, Dense, Layer};
@@ -97,22 +99,16 @@ fn main() {
     });
     let speedup = naive_ns as f64 / arena_ns as f64;
 
-    // --- One full FMore round (the shared pooled-round workload) at 1/2/8 pool threads. ---
-    let mut rounds = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let mut trainer = fmore_bench::pooled_round_trainer(threads);
-        let ns = time_ns(3, 30, || {
-            trainer.run_round().expect("round runs");
-        });
-        rounds.push((threads, ns));
-    }
-
     // --- Emit the JSON document (no serde in the offline workspace; hand-formatted). ---
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&format!(
         "  \"schema\": \"{}\",\n",
-        schema_string("hot-path", 1)
+        schema_string("hot-path", 2)
+    ));
+    json.push_str(&format!(
+        "  \"hardware_threads\": {},\n",
+        hardware_threads()
     ));
     json.push_str(
         "  \"note\": \"min-of-N wall-clock; regenerate with `cargo run --release -p fmore-bench --example bench_report`\",\n",
@@ -127,12 +123,6 @@ fn main() {
     json.push_str(&format!("    \"arena_ns\": {arena_ns},\n"));
     json.push_str(&format!("    \"seed_baseline_ns\": {naive_ns},\n"));
     json.push_str(&format!("    \"speedup\": {speedup:.2}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"pooled_round_ns\": {\n");
-    for (i, (threads, ns)) in rounds.iter().enumerate() {
-        let comma = if i + 1 < rounds.len() { "," } else { "" };
-        json.push_str(&format!("    \"threads_{threads}\": {ns}{comma}\n"));
-    }
     json.push_str("  }\n");
     json.push_str("}\n");
 

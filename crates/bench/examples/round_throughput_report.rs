@@ -2,8 +2,9 @@
 //! scales with executor width. Four suites on the work-stealing pool:
 //!
 //! * **pooled round** — one full federated round (auction → pooled local training →
-//!   FedAvg → evaluation) on the hot-path bench configuration (24 clients, 12 winners),
-//!   swept over 1/2/4/8 worker threads,
+//!   FedAvg → evaluation) on the `fmore_bench::pooled_round_trainer` workload (24
+//!   clients, 12 winners), swept over 1/2/4/8 worker threads — the one place the pooled
+//!   round is timed,
 //! * **streamed selection, spec v1** — one million-bidder selection round (lazily derived
 //!   bids → sharded batch scoring → per-shard local top-K on the pool → population-order
 //!   merge, K = 64) under the golden-compatible two-stream population contract,

@@ -1,5 +1,5 @@
 //! A faithful replica of the **pre-refactor** training hot path, kept as the comparison
-//! baseline for the `hot_path` bench and the arena-equivalence property tests.
+//! baseline for the `bench_report` example and the arena-equivalence property tests.
 //!
 //! Before the allocation-free rework, every mini-batch of `Sequential::train_epoch`
 //! allocated: the batch gather, a clone of the input at the top of the forward pass, a

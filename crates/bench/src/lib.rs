@@ -1,7 +1,7 @@
 //! Benchmark harness for the FMore reproduction.
 //!
-//! The interesting parts are the Criterion benches, each of which regenerates the data
-//! behind one or more paper figures before timing the underlying computation:
+//! The Criterion benches regenerate the data behind one or more paper figures, or compare
+//! round substrates, before timing the underlying computation:
 //!
 //! * `mechanism` — micro-benchmarks and ablations of the auction core (equilibrium solving
 //!   via quadrature vs the paper's Euler route vs Che's closed form, first- vs second-price
@@ -10,25 +10,27 @@
 //!   distribution),
 //! * `figures_parameters` — Figs. 9–11 (impact of `N`, `K`, and ψ),
 //! * `figures_cluster` — Figs. 12–13 and the headline table (the simulated MEC cluster),
-//! * `round_engine` — the pooled round pipeline vs the seed's spawn-per-round path,
-//! * `hot_path` — the allocation-free training kernels: in-place matmul family vs the
-//!   allocating composition, arena-backed `train_epoch` vs the [`baseline`] replica of the
-//!   pre-refactor path, and a full pooled round at 1/2/8 worker threads,
-//! * `auction_scale` — streamed vs dense selection rounds as the population sweeps to 10⁶,
-//! * `round_throughput` — the pooled round and the million-bidder streamed round across
-//!   work-stealing executor widths 1/2/4/8.
+//! * `round_engine` — the pooled round pipeline vs the inline engine, plus the churn round.
 //!
-//! Run everything with `cargo bench --workspace`; append `-- --test` (or set
-//! `FMORE_BENCH_QUICK=1`) for the quick smoke mode CI uses. The report examples
-//! (`bench_report`, `auction_scale_report`, `round_throughput_report`) re-time their
-//! suites with the shared min-of-N scaffolding in [`timing`] and emit the committed
-//! `BENCH_*.json` perf-trajectory records — regenerate after any substrate change:
+//! Run them with `cargo bench --workspace`; append `-- --test` (or set
+//! `FMORE_BENCH_QUICK=1`) for a one-sample smoke run. The report examples time the
+//! remaining suites with the shared min-of-N scaffolding in [`timing`], assert their gates,
+//! and emit the committed `BENCH_*.json` perf-trajectory records — regenerate after any
+//! substrate change:
 //!
 //! ```bash
+//! # in-place kernels, and the arena train_epoch against the seed replica in `baseline`
 //! cargo run --release -p fmore-bench --example bench_report -- BENCH_hot_path.json
+//! # streamed vs dense selection rounds up to 1e7 bidders, and the ψ sweep to 1e8
 //! cargo run --release -p fmore-bench --example auction_scale_report -- BENCH_auction_scale.json
+//! # the pooled round and the 1e6-bidder streamed round at widths 1/2/4/8
 //! cargo run --release -p fmore-bench --example round_throughput_report -- BENCH_round_throughput.json
+//! # the multi-tenant service fleet
+//! cargo run --release -p fmore-bench --example service_report -- BENCH_service.json
 //! ```
+//!
+//! The end-to-end benchmark of the whole system is a separate package:
+//! `cargo run --release --manifest-path e2ebench/Cargo.toml -- --workload <name>`.
 
 pub mod baseline;
 pub mod timing;
@@ -36,11 +38,10 @@ pub mod timing;
 /// Marker constant so the crate root has at least one documented item.
 pub const BENCH_CRATE: &str = "fmore-bench";
 
-/// The shared "pooled round" workload of the `hot_path` and `round_throughput` suites and
-/// their report examples: one full FMore federated round (24 clients, 12 winners, 1,200
-/// training samples on the quick-fidelity MNIST-O task, seed 54) on a pool of `threads`
-/// workers. Defined once so `BENCH_hot_path.json` and `BENCH_round_throughput.json`
-/// always time the identical workload — tuning it here moves every consumer together.
+/// The "pooled round" workload of `round_throughput_report`: one full FMore federated round
+/// (24 clients, 12 winners, 1,200 training samples on the quick-fidelity MNIST-O task,
+/// seed 54) on a pool of `threads` workers. Its only timing is the `pooled_round_ns` row of
+/// `BENCH_round_throughput.json`.
 pub fn pooled_round_trainer(threads: usize) -> fmore_fl::trainer::FederatedTrainer {
     let mut config = fmore_fl::config::FlConfig::fast_test(fmore_ml::TaskKind::MnistO);
     config.clients = 24;

@@ -29,7 +29,7 @@ fn committed_schema(file: &str) -> String {
 #[test]
 fn every_committed_bench_report_carries_its_generators_schema() {
     for (file, name, version) in [
-        ("BENCH_hot_path.json", "hot-path", 1),
+        ("BENCH_hot_path.json", "hot-path", 2),
         ("BENCH_auction_scale.json", "auction-scale", 3),
         ("BENCH_round_throughput.json", "round-throughput", 3),
         ("BENCH_service.json", "service", 3),

@@ -13,50 +13,19 @@
 
 use crate::error::FlError;
 
-/// Computes the data-size-weighted average of client parameter vectors:
-/// `w(t+1) = Σ D_i w_i(t+1) / Σ D_i`.
+/// The one FedAvg core (Eq. 3): writes the data-size-weighted average
+/// `w(t+1) = Σ D_i w_i(t+1) / Σ D_i` into `out` (cleared first, capacity reused). Behind
+/// [`FedAvg`], the median-norm screen, and the survivor average of every robust rule.
 ///
-/// Updates with non-positive weight are ignored. Returns `Ok(None)` if there are no usable
-/// updates or the parameter vectors disagree in length.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an accepted update contains a NaN/±∞ parameter — such
-/// a value would silently poison every coordinate of the global model.
-pub fn federated_average(updates: &[(Vec<f64>, f64)]) -> Result<Option<Vec<f64>>, FlError> {
-    federated_average_slices(
-        updates
-            .iter()
-            .map(|(params, weight)| (params.as_slice(), *weight)),
-    )
-}
-
-/// Borrowing form of [`federated_average`]: averages parameter slices without requiring the
-/// caller to materialise owned vectors (used by the round engine, whose `LocalUpdate`s
-/// already own their parameters).
-///
-/// # Errors
-///
-/// As for [`federated_average`].
-pub fn federated_average_slices<'a, I>(updates: I) -> Result<Option<Vec<f64>>, FlError>
-where
-    I: IntoIterator<Item = (&'a [f64], f64)>,
-{
-    let mut out = Vec::new();
-    Ok(federated_average_into(updates, &mut out)?.then_some(out))
-}
-
-/// Accumulating form of [`federated_average_slices`]: writes the weighted average into `out`
-/// (cleared first, capacity reused), so a driver that averages every round reuses one buffer
-/// instead of allocating per round. Returns `Ok(false)` — leaving `out` empty — when there
-/// are no usable updates or the parameter vectors disagree in length.
+/// Updates with non-positive weight are ignored. Returns `Ok(false)` — leaving `out`
+/// empty — when there are no usable updates or the parameter vectors disagree in length.
 ///
 /// # Errors
 ///
 /// [`FlError::NonFiniteUpdate`] when an accepted (positive-weight) update contains a
-/// non-finite parameter; `out` is left empty. Callers that must *survive* poisoned updates
-/// screen them out first with [`federated_average_screened`].
-pub fn federated_average_into<'a, I>(updates: I, out: &mut Vec<f64>) -> Result<bool, FlError>
+/// non-finite parameter — such a value would silently poison every coordinate of the
+/// global model; `out` is left empty.
+fn federated_average_into<'a, I>(updates: I, out: &mut Vec<f64>) -> Result<bool, FlError>
 where
     I: IntoIterator<Item = (&'a [f64], f64)>,
 {
@@ -95,7 +64,7 @@ where
     Ok(true)
 }
 
-/// Screening policy of [`federated_average_screened`]: an update is quarantined when any
+/// Screening policy of [`MedianNormScreen`]: an update is quarantined when any
 /// parameter is non-finite, or when its L2 norm exceeds `norm_factor ×` the median norm of
 /// the finite updates in the batch (a relative gate, so the policy needs no knowledge of
 /// the model's scale).
@@ -136,7 +105,7 @@ pub enum UpdateFault {
 /// One quarantined update of a screened aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quarantine {
-    /// Index of the update in the batch handed to [`federated_average_screened`].
+    /// Index of the update in the aggregated batch.
     pub index: usize,
     /// Why it was rejected.
     pub fault: UpdateFault,
@@ -151,29 +120,15 @@ pub struct ScreenedAggregation {
     pub quarantined: Vec<Quarantine>,
 }
 
-/// FedAvg with update screening: quarantines non-finite and norm-outlier updates (per
-/// `policy`), aggregates the survivors into `out`, and reports exactly what was rejected —
-/// the round *degrades* to the surviving winners instead of being poisoned or failing.
+/// The median-norm screen behind [`MedianNormScreen`]: quarantines non-finite and
+/// norm-outlier updates (per `policy`), aggregates the survivors into `out`, and reports
+/// exactly what was rejected — the round *degrades* to the surviving winners instead of
+/// being poisoned or failing. Screening is a pure function of the batch, so a screened
+/// aggregation is as deterministic as a plain one.
 ///
-/// Screening is a pure function of the batch, so a screened aggregation is as
-/// deterministic as a plain one.
-///
-/// # Errors
-///
-/// [`FlError::AllUpdatesQuarantined`] when screening rejected every update of a non-empty
-/// batch — there is nothing left to aggregate, and silently keeping the stale model would
-/// hide the outage. (An empty batch returns `Ok` with `accepted == 0`.)
-pub fn federated_average_screened(
-    updates: &[(&[f64], f64)],
-    policy: &ScreenPolicy,
-    out: &mut Vec<f64>,
-) -> Result<ScreenedAggregation, FlError> {
-    screen_by_norm(updates, policy, out, &mut AggregationScratch::default())
-}
-
-/// Scratch-based core of [`federated_average_screened`], shared with the
-/// [`MedianNormScreen`] rule so both paths are bit-identical and the rule path reuses its
-/// buffers across rounds.
+/// An empty batch returns `Ok` with `accepted == 0`; rejecting every update of a non-empty
+/// batch is [`FlError::AllUpdatesQuarantined`] — there is nothing left to aggregate, and
+/// silently keeping the stale model would hide the outage.
 fn screen_by_norm(
     updates: &[(&[f64], f64)],
     policy: &ScreenPolicy,
@@ -278,7 +233,7 @@ impl AggregationScratch {
 /// The contract every impl honours (pinned by the property suite):
 ///
 /// - **FedAvg parity.** On a batch with no outliers — in particular, with zero
-///   adversaries — the output is bit-for-bit what [`federated_average_into`] produces.
+///   adversaries — the output is bit-for-bit what [`FedAvg`] produces.
 /// - **Permutation invariance.** The accepted/quarantined *sets* do not depend on batch
 ///   order (aggregation itself is reduced in a fixed batch-index order, so the output
 ///   bits do not either).
@@ -361,8 +316,9 @@ impl AggregationRule for FedAvg {
     }
 }
 
-/// The existing median-norm screen ([`federated_average_screened`]) as an
-/// [`AggregationRule`]; both paths share one implementation, so they are bit-identical.
+/// FedAvg with update screening: an update is quarantined when any parameter is
+/// non-finite or its L2 norm is a [`ScreenPolicy::norm_factor`] outlier against the
+/// batch's median norm; the survivors average exactly as [`FedAvg`] would average them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MedianNormScreen(pub ScreenPolicy);
 
@@ -776,9 +732,18 @@ fn krum_center(
 mod tests {
     use super::*;
 
+    /// FedAvg of owned updates through the rule; `None` when nothing was aggregated.
+    fn fedavg(updates: &[(Vec<f64>, f64)]) -> Result<Option<Vec<f64>>, FlError> {
+        let borrowed: Vec<(&[f64], f64)> =
+            updates.iter().map(|(p, w)| (p.as_slice(), *w)).collect();
+        let mut out = Vec::new();
+        let report = FedAvg.aggregate(&borrowed, &mut out)?;
+        Ok((report.accepted > 0).then_some(out))
+    }
+
     #[test]
     fn equal_weights_give_plain_mean() {
-        let avg = federated_average(&[(vec![1.0, 2.0], 1.0), (vec![3.0, 4.0], 1.0)])
+        let avg = fedavg(&[(vec![1.0, 2.0], 1.0), (vec![3.0, 4.0], 1.0)])
             .unwrap()
             .unwrap();
         assert_eq!(avg, vec![2.0, 3.0]);
@@ -787,7 +752,7 @@ mod tests {
     #[test]
     fn weights_follow_data_sizes() {
         // Eq. 3: node with 3x the data pulls the average 3x harder.
-        let avg = federated_average(&[(vec![0.0], 1.0), (vec![4.0], 3.0)])
+        let avg = fedavg(&[(vec![0.0], 1.0), (vec![4.0], 3.0)])
             .unwrap()
             .unwrap();
         assert_eq!(avg, vec![3.0]);
@@ -795,7 +760,7 @@ mod tests {
 
     #[test]
     fn zero_and_negative_weights_are_ignored() {
-        let avg = federated_average(&[(vec![10.0], 0.0), (vec![-3.0], -5.0), (vec![2.0], 2.0)])
+        let avg = fedavg(&[(vec![10.0], 0.0), (vec![-3.0], -5.0), (vec![2.0], 2.0)])
             .unwrap()
             .unwrap();
         assert_eq!(avg, vec![2.0]);
@@ -803,37 +768,35 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_return_none() {
-        assert!(federated_average(&[]).unwrap().is_none());
-        assert!(federated_average(&[(vec![1.0], 0.0)]).unwrap().is_none());
-        assert!(
-            federated_average(&[(vec![1.0], 1.0), (vec![1.0, 2.0], 1.0)])
-                .unwrap()
-                .is_none()
-        );
+        assert!(fedavg(&[]).unwrap().is_none());
+        assert!(fedavg(&[(vec![1.0], 0.0)]).unwrap().is_none());
+        assert!(fedavg(&[(vec![1.0], 1.0), (vec![1.0, 2.0], 1.0)])
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn single_update_is_returned_unchanged() {
-        let avg = federated_average(&[(vec![1.5, -2.5, 0.0], 7.0)])
-            .unwrap()
-            .unwrap();
+        let avg = fedavg(&[(vec![1.5, -2.5, 0.0], 7.0)]).unwrap().unwrap();
         assert_eq!(avg, vec![1.5, -2.5, 0.0]);
     }
 
     #[test]
     fn non_finite_updates_are_a_typed_error() {
         for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = federated_average(&[(vec![1.0], 1.0), (vec![poison], 1.0)]).unwrap_err();
+            let err = fedavg(&[(vec![1.0], 1.0), (vec![poison], 1.0)]).unwrap_err();
             assert_eq!(err, FlError::NonFiniteUpdate { index: 1 });
         }
         // Zero-weight poisoned updates are skipped before inspection, like any other
         // zero-weight update.
-        let avg = federated_average(&[(vec![f64::NAN], 0.0), (vec![3.0], 1.0)])
+        let avg = fedavg(&[(vec![f64::NAN], 0.0), (vec![3.0], 1.0)])
             .unwrap()
             .unwrap();
         assert_eq!(avg, vec![3.0]);
         let mut out = vec![9.0];
-        let err = federated_average_into([(&[f64::NAN][..], 1.0)], &mut out).unwrap_err();
+        let err = FedAvg
+            .aggregate(&[(&[f64::NAN][..], 1.0)], &mut out)
+            .unwrap_err();
         assert_eq!(err, FlError::NonFiniteUpdate { index: 0 });
         assert!(out.is_empty(), "the buffer never carries poisoned output");
     }
@@ -853,8 +816,9 @@ mod tests {
             (&clean_c, 1.0),
         ];
         let mut out = Vec::new();
-        let screened =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap();
+        let screened = MedianNormScreen::default()
+            .aggregate(&updates, &mut out)
+            .unwrap();
         assert_eq!(screened.accepted, 3);
         assert_eq!(screened.quarantined.len(), 2);
         assert_eq!(screened.quarantined[0].index, 1);
@@ -874,8 +838,9 @@ mod tests {
         let b = vec![f64::INFINITY];
         let updates: Vec<(&[f64], f64)> = vec![(&a, 1.0), (&b, 1.0)];
         let mut out = Vec::new();
-        let err =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap_err();
+        let err = MedianNormScreen::default()
+            .aggregate(&updates, &mut out)
+            .unwrap_err();
         assert_eq!(err, FlError::AllUpdatesQuarantined { quarantined: 2 });
         assert!(out.is_empty());
     }
@@ -886,13 +851,16 @@ mod tests {
         let solo = vec![42.0];
         let updates: Vec<(&[f64], f64)> = vec![(&solo, 2.0)];
         let mut out = Vec::new();
-        let screened =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap();
+        let screened = MedianNormScreen::default()
+            .aggregate(&updates, &mut out)
+            .unwrap();
         assert_eq!(screened.accepted, 1);
         assert!(screened.quarantined.is_empty());
         assert_eq!(out, vec![42.0]);
 
-        let screened = federated_average_screened(&[], &ScreenPolicy::default(), &mut out).unwrap();
+        let screened = MedianNormScreen::default()
+            .aggregate(&[], &mut out)
+            .unwrap();
         assert_eq!(screened.accepted, 0);
         assert!(out.is_empty());
     }

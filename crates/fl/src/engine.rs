@@ -5,8 +5,8 @@
 //! by the MEC cluster simulator, or by an experiment sweep — is the same pipeline:
 //!
 //! ```text
-//! bid collection ── auction ── local training ── aggregation ── evaluation
-//!  (collect_bids)   (auction_select)  (local_training)  (aggregate)   (trainer)
+//! bid collection ── auction ───────── local training ─────── aggregation ────────── evaluation
+//! (collect_bids)    (auction_select)  (local_training_with)  (aggregate_with_rule)  (trainer)
 //! ```
 //!
 //! This module holds the shared implementation of each stage and the execution substrate
@@ -20,7 +20,7 @@
 //! Parallelism never affects results: a training job owns its slot's reusable model instance
 //! and scratch arena ([`SlotState`]), a shared snapshot of the global parameters, its sample
 //! indices, and a seed derived from `(run seed, round, client)`, so the outcome of a round
-//! is a pure function of the submitted jobs regardless of worker count or execution mode.
+//! is a pure function of the submitted jobs regardless of worker count or engine.
 //! The determinism tests in `tests/determinism.rs` pin this property for every selection
 //! scheme at pool sizes 1 and N.
 //!
@@ -29,10 +29,7 @@
 //! slot keeps one model + arena for the life of the trainer, re-pointed at the new global
 //! parameters each round; see `crates/README.md` ("The allocation-free hot path").
 
-use crate::aggregator::{
-    federated_average_into, federated_average_slices, AggregationRule, AggregationScratch,
-    ScreenedAggregation,
-};
+use crate::aggregator::{AggregationRule, AggregationScratch, ScreenedAggregation};
 use crate::client::EdgeClient;
 use crate::error::FlError;
 use crate::metrics::WinnerInfo;
@@ -47,7 +44,6 @@ use fmore_ml::model::{Model, Sequential};
 use fmore_numerics::seeded_rng;
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 pub use crate::executor::{default_threads, JobPanic, Task, WorkerPool};
 
@@ -59,23 +55,10 @@ pub fn shared_pool() -> Arc<WorkerPool> {
     SHARED.get_or_init(|| Arc::new(WorkerPool::new(0))).clone()
 }
 
-/// How a round's parallel work is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Sequential execution on the calling thread.
-    Inline,
-    /// One fresh OS thread per task per round — the strategy of the original trainer, kept
-    /// for benchmarking against the pool.
-    SpawnPerRound,
-    /// Reused worker threads from a persistent [`WorkerPool`].
-    Pooled,
-}
-
-/// The execution substrate of one round pipeline: an [`ExecutionMode`] plus (for pooled
-/// mode) the pool the work is submitted to.
+/// The execution substrate of one round pipeline: inline on the calling thread, or a
+/// (possibly shared) [`WorkerPool`] the work is submitted to.
 #[derive(Debug, Clone)]
 pub struct RoundEngine {
-    mode: ExecutionMode,
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -89,19 +72,7 @@ impl Default for RoundEngine {
 impl RoundEngine {
     /// An engine executing tasks sequentially on the calling thread.
     pub fn inline() -> Self {
-        Self {
-            mode: ExecutionMode::Inline,
-            pool: None,
-        }
-    }
-
-    /// An engine spawning one fresh thread per task per round (the pre-refactor behaviour;
-    /// kept so the bench suite can measure what the pool buys).
-    pub fn spawn_per_round() -> Self {
-        Self {
-            mode: ExecutionMode::SpawnPerRound,
-            pool: None,
-        }
+        Self { pool: None }
     }
 
     /// An engine owning a fresh pool with `threads` workers (`0` means [`default_threads`]).
@@ -111,18 +82,10 @@ impl RoundEngine {
 
     /// An engine submitting to an existing (possibly shared) pool.
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        Self {
-            mode: ExecutionMode::Pooled,
-            pool: Some(pool),
-        }
+        Self { pool: Some(pool) }
     }
 
-    /// The engine's execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// The pool backing a [`ExecutionMode::Pooled`] engine.
+    /// The pool backing a pooled engine; `None` for an inline one.
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.as_ref()
     }
@@ -132,90 +95,24 @@ impl RoundEngine {
     /// pooled engines). Bounding in-flight shards by this keeps the stage's transient
     /// memory at `O(width · shard)` instead of `O(N)`.
     pub fn parallel_width(&self) -> usize {
-        match self.mode {
-            ExecutionMode::Inline => 1,
-            ExecutionMode::SpawnPerRound => default_threads(),
-            ExecutionMode::Pooled => self
-                .pool
-                .as_ref()
-                .expect("pooled engine always has a pool")
-                .threads()
-                .max(1),
-        }
+        self.pool.as_ref().map_or(1, |pool| pool.threads().max(1))
     }
 
-    /// Runs the tasks under the configured mode, returning results in submission order in
-    /// every mode.
-    ///
-    /// This is the legacy batch-driver entry point; service-facing stages go through
-    /// [`RoundEngine::try_run_tasks`] instead, where a panicking task becomes a typed
-    /// [`FlError::JobPanic`] on the submitting round rather than a process abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a task panics.
-    pub fn run_tasks<T: Send + 'static>(&self, tasks: Vec<Task<T>>) -> Vec<T> {
-        self.run_tasks_checked(tasks)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(value) => value,
-                Err(marker) => panic!("{marker}"),
-            })
-            .collect()
-    }
-
-    /// Runs the tasks under the configured mode, returning each slot's fate **in submission
-    /// order** in every mode: `Ok` with the task's value, or the [`JobPanic`] marker of a
-    /// task that panicked. Panics never propagate, never kill pool workers, and never mask
-    /// sibling results — the checked twin of [`RoundEngine::run_tasks`], routed through
-    /// [`WorkerPool::run_indexed_checked`] on pooled engines.
-    pub fn run_tasks_checked<T: Send + 'static>(
-        &self,
-        tasks: Vec<Task<T>>,
-    ) -> Vec<Result<T, JobPanic>> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let caught = |slot: usize, payload: Box<dyn std::any::Any + Send>| JobPanic {
-            slot,
-            message: crate::executor::panic_message(payload),
-        };
-        match self.mode {
-            ExecutionMode::Inline => tasks
-                .into_iter()
-                .enumerate()
-                .map(|(slot, task)| {
-                    catch_unwind(AssertUnwindSafe(task)).map_err(|p| caught(slot, p))
-                })
-                .collect(),
-            ExecutionMode::SpawnPerRound => {
-                let handles: Vec<JoinHandle<T>> = tasks
-                    .into_iter()
-                    .map(|task| std::thread::spawn(task))
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(slot, h)| h.join().map_err(|p| caught(slot, p)))
-                    .collect()
-            }
-            ExecutionMode::Pooled => self
-                .pool
-                .as_ref()
-                .expect("pooled engine always has a pool")
-                .run_indexed_checked(tasks),
-        }
-    }
-
-    /// Runs the tasks checked and returns all results, or the **first** panic as a typed
-    /// [`FlError::JobPanic`] — the error-not-panic entry point of every service-facing
-    /// fan-out. Sibling tasks still run to completion before the error is returned (the
-    /// executor delivers every healthy slot), so a poisoned round never leaves stray work
-    /// behind on the pool.
+    /// Runs the tasks and returns all results **in submission order**, or the **first**
+    /// panic as a typed [`FlError::JobPanic`] — the error-not-panic entry point of every
+    /// round-pipeline fan-out. Panics never propagate and never kill pool workers, and
+    /// sibling tasks still run to completion before the error is returned (both engines
+    /// deliver every healthy slot), so a poisoned round never leaves stray work behind.
     ///
     /// # Errors
     ///
     /// Returns [`FlError::JobPanic`] naming the first panicked slot.
     pub fn try_run_tasks<T: Send + 'static>(&self, tasks: Vec<Task<T>>) -> Result<Vec<T>, FlError> {
-        self.run_tasks_checked(tasks)
+        let fates = match &self.pool {
+            Some(pool) => pool.run_indexed_checked(tasks),
+            None => crate::executor::run_inline_checked(tasks),
+        };
+        fates
             .into_iter()
             .map(|slot| slot.map_err(FlError::from))
             .collect()
@@ -890,31 +787,17 @@ impl ChainedTraining {
 }
 
 /// Trains every job on the engine (steps 4–5 of Algorithm 1), returning updates and their
-/// reclaimed slot states in slot order regardless of execution mode or completion order.
+/// reclaimed slot states in slot order regardless of engine or completion order.
+///
+/// Per-winner jobs go through the executor as indivisible tasks; per-epoch and per-batch
+/// jobs run as [`crate::chain::TaskChain`]s (see [`crate::chain::run_chains`]) whose units
+/// interleave across winners with longest-remaining-first scheduling. The returned updates
+/// are bit-identical across all granularities, engines, and pool widths.
 ///
 /// # Errors
 ///
-/// Returns [`FlError::JobPanic`] when a training task panics — attributed to this round,
-/// with every sibling update still trained (the checked executor delivers healthy slots
-/// before the error surfaces).
-pub fn local_training(
-    engine: &RoundEngine,
-    jobs: Vec<TrainingJob>,
-) -> Result<Vec<(LocalUpdate, SlotState)>, FlError> {
-    local_training_with(engine, jobs, FanOutGranularity::PerWinner)
-}
-
-/// [`local_training`] with an explicit [`FanOutGranularity`]: per-winner jobs go through
-/// the executor as indivisible tasks; per-epoch and per-batch jobs run as
-/// [`crate::chain::TaskChain`]s (see [`crate::chain::run_chains`]) whose units interleave
-/// across winners with
-/// longest-remaining-first scheduling. The returned updates are bit-identical across all
-/// granularities, engines, and pool widths.
-///
-/// # Errors
-///
-/// As for [`local_training`]; a panic mid-chain fails the round with the chain's winner
-/// slot, with every sibling winner still trained.
+/// Returns [`FlError::JobPanic`] when a training task panics — attributed to this round
+/// (mid-chain: to the chain's winner slot), with every sibling update still trained.
 pub fn local_training_with(
     engine: &RoundEngine,
     jobs: Vec<TrainingJob>,
@@ -942,32 +825,9 @@ pub fn local_training_with(
 // Stage 5: aggregation.
 // ---------------------------------------------------------------------------
 
-/// Aggregates local updates into new global parameters by data-weighted FedAvg (step 6 of
-/// Algorithm 1). Returns `Ok(None)` when there are no updates.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an update carries a NaN/±∞ parameter.
-pub fn aggregate(updates: &[LocalUpdate]) -> Result<Option<Vec<f64>>, FlError> {
-    federated_average_slices(updates.iter().map(|u| (u.parameters.as_slice(), u.weight)))
-}
-
-/// Allocation-free form of [`aggregate`]: accumulates the weighted average into `out`
-/// (capacity reused). Returns `Ok(false)` — leaving `out` empty — when there is nothing to
-/// aggregate.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an update carries a NaN/±∞ parameter.
-pub fn aggregate_into(updates: &[LocalUpdate], out: &mut Vec<f64>) -> Result<bool, FlError> {
-    federated_average_into(
-        updates.iter().map(|u| (u.parameters.as_slice(), u.weight)),
-        out,
-    )
-}
-
-/// Aggregates local updates through a pluggable [`AggregationRule`], reusing `scratch`
-/// so the rule's internals allocate nothing in steady state. Returns the screening
+/// Aggregates local updates through a pluggable [`AggregationRule`] (step 6 of
+/// Algorithm 1; [`crate::aggregator::FedAvg`] is Eq. 3's data-weighted average), reusing
+/// `scratch` so the rule's internals allocate nothing in steady state. Returns the screening
 /// verdict; `out` holds the new global parameters when anything was accepted.
 ///
 /// # Errors
@@ -1043,31 +903,24 @@ mod tests {
     }
 
     #[test]
-    fn engine_modes_agree_on_results() {
+    fn engines_agree_on_results() {
         let make = || -> Vec<Task<i64>> {
             (0..12)
                 .map(|i| Box::new(move || (i as i64 - 6) * 3) as Task<i64>)
                 .collect()
         };
-        let inline = RoundEngine::inline().run_tasks(make());
-        let spawned = RoundEngine::spawn_per_round().run_tasks(make());
-        let pooled = RoundEngine::pooled(3).run_tasks(make());
-        let shared = RoundEngine::default().run_tasks(make());
-        assert_eq!(inline, spawned);
+        let inline = RoundEngine::inline().try_run_tasks(make()).unwrap();
+        let pooled = RoundEngine::pooled(3).try_run_tasks(make()).unwrap();
+        let shared = RoundEngine::default().try_run_tasks(make()).unwrap();
+        assert_eq!(inline, (0..12).map(|i| (i - 6) * 3).collect::<Vec<i64>>());
         assert_eq!(inline, pooled);
         assert_eq!(inline, shared);
     }
 
     #[test]
-    fn engine_exposes_mode_and_pool() {
-        assert_eq!(RoundEngine::inline().mode(), ExecutionMode::Inline);
+    fn engine_exposes_its_pool() {
         assert!(RoundEngine::inline().pool().is_none());
-        assert_eq!(
-            RoundEngine::spawn_per_round().mode(),
-            ExecutionMode::SpawnPerRound
-        );
         let engine = RoundEngine::pooled(2);
-        assert_eq!(engine.mode(), ExecutionMode::Pooled);
         assert_eq!(engine.pool().unwrap().threads(), 2);
         assert!(WorkerPool::new(0).threads() >= 1);
     }
@@ -1330,11 +1183,7 @@ mod tests {
             }
             Ok(())
         });
-        for engine in [
-            RoundEngine::inline(),
-            RoundEngine::spawn_per_round(),
-            RoundEngine::pooled(2),
-        ] {
+        for engine in [RoundEngine::inline(), RoundEngine::pooled(2)] {
             let err = auction_select_streamed(
                 &auction,
                 128,
@@ -1356,38 +1205,28 @@ mod tests {
     }
 
     #[test]
-    fn checked_engine_modes_agree_and_attribute_panics_per_slot() {
-        let make = || -> Vec<Task<usize>> {
-            (0..8usize)
+    fn try_run_tasks_runs_every_sibling_before_reporting_the_first_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for engine in [RoundEngine::inline(), RoundEngine::pooled(3)] {
+            let ran = Arc::new(AtomicUsize::new(0));
+            let tasks: Vec<Task<usize>> = (0..8usize)
                 .map(|i| {
+                    let ran = Arc::clone(&ran);
                     Box::new(move || {
-                        assert!(i != 5, "slot five dies");
+                        assert!(i != 2 && i != 5, "slot {i} dies");
+                        ran.fetch_add(1, Ordering::SeqCst);
                         i * 10
                     }) as Task<usize>
                 })
-                .collect()
-        };
-        for engine in [
-            RoundEngine::inline(),
-            RoundEngine::spawn_per_round(),
-            RoundEngine::pooled(3),
-        ] {
-            let fates = engine.run_tasks_checked(make());
-            assert_eq!(fates.len(), 8);
-            for (i, fate) in fates.iter().enumerate() {
-                match fate {
-                    Ok(v) => assert_eq!(*v, i * 10),
-                    Err(marker) => {
-                        assert_eq!(i, 5, "only slot five panics");
-                        assert_eq!(marker.slot, 5);
-                    }
-                }
-            }
-            let err = engine.try_run_tasks(make()).unwrap_err();
+                .collect();
+            let err = engine.try_run_tasks(tasks).unwrap_err();
             assert!(
-                matches!(err, FlError::JobPanic(ref m) if m.slot == 5),
+                matches!(err, FlError::JobPanic(ref m) if m.slot == 2 && m.message.contains("slot 2")),
                 "{err}"
             );
+            // Both panicking slots were attributed, never propagated, and all six healthy
+            // siblings — including the ones submitted after the first panic — ran.
+            assert_eq!(ran.load(Ordering::SeqCst), 6, "{engine:?}");
         }
     }
 
@@ -1395,7 +1234,6 @@ mod tests {
     fn engine_parallel_width_matches_the_substrate() {
         assert_eq!(RoundEngine::inline().parallel_width(), 1);
         assert_eq!(RoundEngine::pooled(3).parallel_width(), 3);
-        assert!(RoundEngine::spawn_per_round().parallel_width() >= 1);
     }
 
     fn fan_out_jobs(sizes: &[usize]) -> Vec<TrainingJob> {
@@ -1437,7 +1275,12 @@ mod tests {
         // Skewed sizes (one straggler, an empty subset, a sub-batch subset) across every
         // granularity × engine combination must reproduce the per-winner updates bitwise.
         let sizes = [60usize, 5, 0, 23, 120];
-        let reference = local_training(&RoundEngine::inline(), fan_out_jobs(&sizes)).unwrap();
+        let reference = local_training_with(
+            &RoundEngine::inline(),
+            fan_out_jobs(&sizes),
+            FanOutGranularity::PerWinner,
+        )
+        .unwrap();
         for granularity in [
             FanOutGranularity::PerWinner,
             FanOutGranularity::PerEpoch,
@@ -1482,6 +1325,7 @@ mod tests {
 
     #[test]
     fn aggregate_weights_by_data_size() {
+        use crate::aggregator::FedAvg;
         let updates = vec![
             LocalUpdate {
                 slot: 0,
@@ -1496,14 +1340,19 @@ mod tests {
                 weight: 1.0,
             },
         ];
-        let avg = aggregate(&updates).unwrap().unwrap();
+        let mut scratch = AggregationScratch::new();
+        let mut avg = Vec::new();
+        let report = aggregate_with_rule(&FedAvg, &updates, &mut scratch, &mut avg).unwrap();
+        assert_eq!(report.accepted, 2);
         assert!((avg[0] - 0.75).abs() < 1e-12);
         assert!((avg[1] - 0.25).abs() < 1e-12);
-        assert_eq!(aggregate(&[]).unwrap(), None);
+        let report = aggregate_with_rule(&FedAvg, &[], &mut scratch, &mut avg).unwrap();
+        assert_eq!(report.accepted, 0);
+        assert!(avg.is_empty());
         let mut poisoned = updates;
         poisoned[0].parameters[1] = f64::NAN;
         assert_eq!(
-            aggregate(&poisoned).unwrap_err(),
+            aggregate_with_rule(&FedAvg, &poisoned, &mut scratch, &mut avg).unwrap_err(),
             FlError::NonFiniteUpdate { index: 0 }
         );
     }

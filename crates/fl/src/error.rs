@@ -47,7 +47,7 @@ pub enum FlError {
         budget_secs: f64,
     },
     /// An update handed to the aggregator contains a non-finite parameter. Raised by
-    /// [`crate::aggregator::federated_average_into`]; the screened service path quarantines
+    /// [`crate::aggregator::FedAvg`], which does not screen; the screening rules quarantine
     /// such updates before they reach this error.
     NonFiniteUpdate {
         /// Index of the poisoned update in the aggregation batch.

@@ -40,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A unit of work returning a value; see [`crate::engine::RoundEngine::run_tasks`].
+/// A unit of work returning a value; see [`crate::engine::RoundEngine::try_run_tasks`].
 pub type Task<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
 thread_local! {
@@ -101,6 +101,22 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Runs every task in order on the calling thread and returns each slot's fate, exactly as
+/// [`WorkerPool::run_indexed_checked`] does: a panic becomes its slot's [`JobPanic`] and
+/// every later task still runs. The inline engine and nested fan-outs both execute here.
+pub(crate) fn run_inline_checked<T>(tasks: Vec<Task<T>>) -> Vec<Result<T, JobPanic>> {
+    tasks
+        .into_iter()
+        .enumerate()
+        .map(|(slot, task)| {
+            catch_unwind(AssertUnwindSafe(task)).map_err(|payload| JobPanic {
+                slot,
+                message: panic_message(payload),
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -486,16 +502,7 @@ impl WorkerPool {
     ) -> Vec<Result<T, JobPanic>> {
         let n = tasks.len();
         if n <= 1 || in_pool_worker() {
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(slot, task)| {
-                    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| JobPanic {
-                        slot,
-                        message: panic_message(payload),
-                    })
-                })
-                .collect();
+            return run_inline_checked(tasks);
         }
         let width = self.threads();
         // O(width) contiguous batches regardless of n; stealing splits them down to a

@@ -52,16 +52,13 @@ pub use adversary::{
     ReputationSpec,
 };
 pub use aggregator::{
-    federated_average, federated_average_into, federated_average_screened, AggregationRule,
-    AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen, Quarantine, ScreenPolicy,
-    ScreenedAggregation, TrimmedMean, UpdateFault,
+    AggregationRule, AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen,
+    Quarantine, ScreenPolicy, ScreenedAggregation, TrimmedMean, UpdateFault,
 };
 pub use chain::{run_chains, TaskChain};
 pub use client::EdgeClient;
 pub use config::FlConfig;
-pub use engine::{
-    shared_pool, ExecutionMode, FanOutGranularity, RoundEngine, SlotState, WorkerPool,
-};
+pub use engine::{shared_pool, FanOutGranularity, RoundEngine, SlotState, WorkerPool};
 pub use error::FlError;
 pub use executor::JobPanic;
 pub use faults::{Corruption, FaultClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};

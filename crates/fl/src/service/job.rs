@@ -129,8 +129,9 @@ pub struct JobSpec {
     pub max_pending: usize,
     /// Dimension of the synthetic per-winner model updates aggregated each round; `0`
     /// disables the update/aggregation stage. Updates are a pure function of
-    /// `(seed, round, node)`, screened through
-    /// [`federated_average_screened`] so corrupted vectors are quarantined, never averaged.
+    /// `(seed, round, node)`, screened through the spec's [`JobSpec::aggregation`] rule
+    /// (by default the median-norm screen), so corrupted vectors are quarantined, never
+    /// averaged.
     pub update_dim: usize,
     /// Optional round watchdog: simulated-time budget plus bounded retry with
     /// deterministic backoff accounting. `None` means a failed round is recorded and
@@ -164,9 +165,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The service's historical aggregation backend: the median-norm screen under the
-    /// default [`ScreenPolicy`]. Shares its implementation with
-    /// [`crate::aggregator::federated_average_screened`], so specs carrying this default
-    /// reproduce pre-rule histories exactly.
+    /// default [`ScreenPolicy`], so specs carrying this default reproduce pre-rule
+    /// histories exactly.
     pub fn default_aggregation() -> Arc<dyn AggregationRule> {
         Arc::new(MedianNormScreen(ScreenPolicy::default()))
     }

@@ -302,7 +302,7 @@ impl std::fmt::Debug for AuctionService {
         f.debug_struct("AuctionService")
             .field("jobs", &self.len())
             .field("capacity", &self.config.max_jobs)
-            .field("mode", &self.engine.mode())
+            .field("width", &self.engine.parallel_width())
             .finish()
     }
 }

@@ -65,7 +65,7 @@ impl std::fmt::Debug for FederatedTrainer {
             .field("strategy", &self.strategy.name())
             .field("clients", &self.clients.len())
             .field("winners_per_round", &self.config.winners_per_round)
-            .field("mode", &self.engine.mode())
+            .field("width", &self.engine.parallel_width())
             .field("round", &self.round)
             .finish()
     }
@@ -115,8 +115,8 @@ impl FederatedTrainer {
     }
 
     /// Builds a trainer running its parallel stages on a caller-supplied engine (an inline
-    /// engine for strict single-threaded runs, a private pool, the spawn-per-round baseline,
-    /// or a pool shared with other trainers).
+    /// engine for strict single-threaded runs, a private pool, or a pool shared with other
+    /// trainers).
     ///
     /// The choice of engine never affects the produced [`TrainingHistory`] — only wall-clock.
     ///
@@ -601,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_mode_produces_the_same_history() {
+    fn every_engine_produces_the_same_history() {
         let run = |engine: RoundEngine| {
             let mut t = FederatedTrainer::with_engine(
                 fast_config(),
@@ -613,7 +613,6 @@ mod tests {
             t.run(2).unwrap()
         };
         let inline = run(RoundEngine::inline());
-        assert_eq!(inline, run(RoundEngine::spawn_per_round()));
         assert_eq!(inline, run(RoundEngine::pooled(1)));
         assert_eq!(inline, run(RoundEngine::pooled(4)));
         assert_eq!(inline, run(RoundEngine::default()));

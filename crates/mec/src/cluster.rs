@@ -298,9 +298,9 @@ impl MecCluster {
         Self::with_engine(config, strategy, seed, RoundEngine::default())
     }
 
-    /// Builds the cluster with a caller-supplied round engine (shared pool, private pool,
-    /// inline, or spawn-per-round); the engine drives the embedded trainer's parallel local
-    /// training. The engine choice never affects results.
+    /// Builds the cluster with a caller-supplied round engine (shared pool, private pool, or
+    /// inline); the engine drives the embedded trainer's parallel local training. The engine
+    /// choice never affects results.
     ///
     /// # Errors
     ///

@@ -110,7 +110,7 @@ impl ScaleConfig {
     }
 }
 
-/// The per-`N` machinery shared by every scale entry (and by the `auction_scale` bench): a
+/// The per-`N` machinery shared by every scale entry (and by `auction_scale_report`): a
 /// lazily derived population, the tabulated equilibrium solver, and the auction of one
 /// selection round.
 pub struct ScaleGame {
